@@ -48,6 +48,7 @@ __all__ = [
     "m2l_geometry",
     "m2l_from_geometry",
     "m2l_operator",
+    "singular_grid",
     "l2l",
     "axial_m2m",
     "axial_m2l",
@@ -221,14 +222,59 @@ def _regular_grid(shifts: np.ndarray, p: int, conj: bool) -> np.ndarray:
     return full * npow[:, :, None]
 
 
-def _singular_grid(shifts: np.ndarray, p: int) -> np.ndarray:
-    """Full grid of ``Y_n^m(angles) / rho^{n+1}`` for each shift."""
-    shifts = np.atleast_2d(np.asarray(shifts, dtype=np.float64))
-    rho, ct, phi = cart_to_sph(shifts)
-    Y = sph_harmonics(ct, phi, p)
-    full = to_full_grid(Y, p)
-    npow = (1.0 / rho)[:, None] ** (np.arange(p + 1)[None, :] + 1)
-    return full * npow[:, :, None]
+def singular_grid(d: np.ndarray, p: int, dtype=np.complex128) -> np.ndarray:
+    """Scaled singular grid ``shat`` of the displacement rows ``d``:
+    shape ``(p+1, 2p+1, B)``, batch-last, with the m-axis offset by ``p``.
+
+    ``shat[n, ±m] = i^m O_n^m`` (``O`` conjugated for ``-m``), where
+    ``O_n^m = (n-m)! P_n^m(cos θ) e^{imφ} / ρ^{n+1}`` is the irregular
+    solid harmonic — i.e. ``i^|m| sq(n,m) Y_n^m / ρ^{n+1}``, the
+    geometry factor of M2L.  Built by the Cartesian recurrence
+
+    * ``O_0^0 = 1/ρ``,
+    * ``O_m^m = (2m-1) (x+iy)/ρ² O_{m-1}^{m-1}``,
+    * ``O_n^m = (2n-1) z/ρ² O_{n-1}^m - (n+m-1)(n-m-1)/ρ² O_{n-2}^m``,
+
+    so no trigonometry, Legendre table or factorial scaling is needed.
+    The recurrence carries ``Q_n^m = i^m O_n^m`` directly (the diagonal
+    step multiplies by ``i (x+iy) = -y + ix``), which leaves
+    ``shat[n, -m] = (-1)^m conj(Q_n^m)``.  It runs in float64 on
+    separate real and imaginary planes — every operation is a correctly
+    rounded real multiply or add, so each row's grid is bitwise
+    independent of the batch it is built in — and each degree is cast
+    to ``dtype`` as it is stored.
+    """
+    d = np.atleast_2d(np.asarray(d, dtype=np.float64))
+    x, y, z = np.ascontiguousarray(d.T)
+    inv_r2 = 1.0 / (x * x + y * y + z * z)
+    xr, yr, zr = x * inv_r2, y * inv_r2, z * inv_r2
+    m = np.arange(p + 1.0)[:, None]
+    sgn = (-1.0) ** m
+    out = np.zeros((p + 1, 2 * p + 1, d.shape[0]), dtype=dtype)
+    o_re, o_im = out.real, out.imag
+    # rows n-1 and n-2 of Q_n^m for m = 0..n (real, imaginary planes)
+    re1, im1 = np.sqrt(inv_r2)[None, :], np.zeros((1, d.shape[0]))
+    re2 = im2 = np.empty((0, d.shape[0]))
+    for n in range(p + 1):
+        if n:
+            re = np.empty((n + 1, d.shape[0]))
+            im = np.empty((n + 1, d.shape[0]))
+            az = (2 * n - 1) * zr
+            re[:n] = az * re1
+            im[:n] = az * im1
+            cr = (n + m[: n - 1] - 1) * (n - m[: n - 1] - 1) * inv_r2
+            re[: n - 1] -= cr * re2
+            im[: n - 1] -= cr * im2
+            ax, ay = (2 * n - 1) * xr, (2 * n - 1) * yr
+            re[n] = -(ay * re1[n - 1]) - ax * im1[n - 1]
+            im[n] = ax * re1[n - 1] - ay * im1[n - 1]
+            re1, im1, re2, im2 = re, im, re1, im1
+        o_re[n, p : p + n + 1] = re1
+        o_im[n, p : p + n + 1] = im1
+        # columns p-n .. p-1 hold m = n .. 1
+        o_re[n, p - n : p] = (sgn[1 : n + 1] * re1[1:])[::-1]
+        o_im[n, p - n : p] = (sgn[1 : n + 1] * -im1[1:])[::-1]
+    return out
 
 
 def m2m(coeffs: np.ndarray, shifts: np.ndarray, p: int) -> np.ndarray:
@@ -287,9 +333,7 @@ def m2l_geometry(d: np.ndarray, p_src: int, p_loc: int | None = None) -> np.ndar
     """
     if p_loc is None:
         p_loc = p_src
-    ptot = p_src + p_loc
-    S = _singular_grid(d, ptot)
-    return S * (_iphase_grid(ptot, +1) * _sq_grid(ptot)) * _valid_mask(ptot)
+    return np.moveaxis(singular_grid(d, p_src + p_loc), -1, 0)
 
 
 def m2l_from_geometry(

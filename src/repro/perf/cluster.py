@@ -78,6 +78,7 @@ from ..multipole.translations import (
     _valid_mask,
     axial_m2l,
     l2l,
+    singular_grid,
 )
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import is_enabled, span, stopwatch
@@ -147,40 +148,14 @@ def _pack_idx(p: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(ns), np.asarray(ms)
 
 
-def _singular_grid(d_u: np.ndarray, p: int, dtype) -> np.ndarray:
-    """Scaled singular grid ``(2p+1, 4p+1, len(d_u))`` of displacement
-    rows ``d_u``, batch-last — the translation operator half of
-    :func:`batched_m2l`, a pure elementwise function of each row."""
-    ptot = 2 * p
-    rdt = np.float32 if dtype == np.complex64 else np.float64
-    rho, ct, phi = cart_to_sph(d_u)
-    Yt = np.ascontiguousarray(sph_harmonics(ct, phi, ptot).T).astype(dtype)
-    npow = (
-        (1.0 / rho)[None, :] ** (np.arange(ptot + 1)[:, None] + 1)
-    ).astype(rdt)
-    scale_t = (_iphase_grid(ptot, +1) * _sq_grid(ptot)) * _valid_mask(ptot)
-    nt, mt = _pack_idx(ptot)
-    shat = np.zeros((ptot + 1, 2 * ptot + 1, d_u.shape[0]), dtype=dtype)
-    shat[nt, ptot + mt] = (
-        Yt * scale_t[nt, ptot + mt].astype(dtype)[:, None] * npow[nt]
-    )
-    negt = mt > 0
-    shat[nt[negt], ptot - mt[negt]] = (
-        np.conj(Yt[negt])
-        * scale_t[nt[negt], ptot - mt[negt]].astype(dtype)[:, None]
-        * npow[nt[negt]]
-    )
-    return shat
-
-
-def _dedup_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Displacement dedup: ``(unique_rows, inverse)`` when at least half
-    the rows are duplicates, ``(d, None)`` otherwise."""
+def _dedup_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Compile-time displacement dedup: ``(unique_rows, inverse)`` when
+    at least half the rows are duplicates, ``None`` otherwise."""
     if d.shape[0] >= 16:
         uq, uinv = np.unique(d, axis=0, return_inverse=True)
         if 2 * uq.shape[0] <= d.shape[0]:
-            return uq, uinv
-    return d, None
+            return uq, uinv.reshape(-1)
+    return None
 
 
 def batched_m2l(
@@ -197,33 +172,27 @@ def batched_m2l(
     packed↔full grid conversions done with index arrays instead of
     per-order loops, and the translation accumulated in reduced
     precision.  A multi-RHS batch shares each pair's singular grid (and
-    the displacement dedup/gather) across its ``k`` columns — the
+    any displacement dedup gather) across its ``k`` columns — the
     per-pair translation cost is the only part that scales with ``k``.
 
     ``grid`` optionally supplies a precomputed ``(shat_u, inv)`` pair —
-    a :func:`_singular_grid` of deduplicated rows plus the inverse map
-    selecting this call's rows (``inv=None``: ``shat_u`` is already
-    row-aligned with ``d``). Chunked callers build the grid once per
-    group; the gathered grid is bitwise the directly-built one.
+    a :func:`~repro.multipole.translations.singular_grid` of
+    deduplicated rows plus the inverse map selecting this call's rows.
+    The grid is a pure per-row function, so the gathered grid is
+    bitwise the directly-built one.
     """
     kb = None
     if C.ndim == 3:
         kb = C.shape[1]
         C = C.reshape(C.shape[0] * kb, C.shape[2])
-    B = d.shape[0]  # pairs: sizes the singular grid and its dedup
+    B = d.shape[0]  # pairs: sizes the singular grid
     R = C.shape[0]  # coefficient rows (= B * kb when batched)
     ptot = 2 * p
-    # Uniform grids emit many identical displacement rows; the singular
-    # grid (by far the largest per-row build cost) is a pure elementwise
-    # function of its row, so computing it once per distinct row and
-    # gathering is bitwise-identical to the direct build.
     if grid is None:
-        d_u, inv = _dedup_rows(d)
-        shat = _singular_grid(d_u, p, dtype)
+        shat = singular_grid(d, ptot, dtype)
     else:
-        shat, inv = grid
-    if inv is not None:
-        shat = np.ascontiguousarray(shat[:, :, inv])
+        shat_u, inv = grid
+        shat = np.ascontiguousarray(shat_u[:, :, inv])
     ns, ms = _pack_idx(p)
     # rescaled multipole grid, batch-last, with conjugate mirror
     scale_s = (
@@ -258,27 +227,31 @@ def batched_m2l(
     return out if kb is None else out.reshape(B, kb, -1)
 
 
-def _batched_m2l_chunked(C, d, p, dtype) -> np.ndarray:
+def _batched_m2l_chunked(C, d, p, dtype, dedup=None) -> np.ndarray:
     """Memory-bounded wrapper around :func:`batched_m2l`.
 
     Batch chunks are sized to ``_M2L_CHUNK / 2`` coefficient *rows*
     (``_M2L_CHUNK / (2k)`` pairs) — measured fastest on the correlation
-    loop's working set. When the group needs several chunks and its
-    displacements dedup, the grid is built once here and every chunk
-    gathers its rows — bitwise-identical to per-chunk builds (the grid
-    is a pure per-row function)."""
+    loop's working set. ``dedup`` is the group's compile-time
+    ``(unique_rows, inverse)`` (see :func:`_dedup_rows`): the grid of
+    the distinct rows is built once here and every chunk gathers its
+    rows — bitwise-identical to per-chunk builds (the grid is a pure
+    per-row function)."""
     B = C.shape[0]
     kb = C.shape[1] if C.ndim == 3 else None
     chunk = _M2L_CHUNK if kb is None else max(1, _M2L_CHUNK // (2 * kb))
+    shat_u = None if dedup is None else singular_grid(dedup[0], 2 * p, dtype)
+
+    def run(lo, hi):
+        grid = None if shat_u is None else (shat_u, dedup[1][lo:hi])
+        return batched_m2l(C[lo:hi], d[lo:hi], p, dtype, grid=grid)
+
     if B <= chunk:
-        return batched_m2l(C, d, p, dtype)
+        return run(0, B)
     out = np.empty(C.shape[:-1] + (ncoef(p),), dtype=dtype)
-    d_u, inv = _dedup_rows(d)
-    shat_u = _singular_grid(d_u, p, dtype) if inv is not None else None
     for lo in range(0, B, chunk):
         hi = min(lo + chunk, B)
-        grid = None if shat_u is None else (shat_u, inv[lo:hi])
-        out[lo:hi] = batched_m2l(C[lo:hi], d[lo:hi], p, dtype, grid=grid)
+        out[lo:hi] = run(lo, hi)
     return out
 
 
@@ -297,6 +270,10 @@ class _FarGroup:
     levels: np.ndarray | None  #: source box level per pair
     cnt_t: np.ndarray | None  #: unit targets under the target box
     c64_ok: bool = True  #: complex64 M2L safe at this degree/distance
+    #: compile-time displacement dedup ``(unique_rows, inverse)``, or
+    #: ``None``: the singular grid is built per pair row (see
+    #: :func:`_dedup_rows` and the rule in ``_compile_far_unit``)
+    dedup: tuple | None = None
     #: rotation-backend schedule ``(perm, starts, stops, op_ids, rho)``:
     #: ``perm`` sorts the pairs by rotation-operator id, ``starts``/
     #: ``stops`` delimit the equal-direction runs, ``rho`` is the center
@@ -667,15 +644,25 @@ class ClusterPlan(CompiledPlan):
                 cnt_t = np.minimum(be_u[lo:hi], thi) - np.maximum(
                     bs_u[lo:hi], tlo
                 )
+            # box-centred trees repeat the same few hundred offsets by
+            # construction, so their groups dedup displacements once
+            # here; abs_com centres are (nearly) distinct per pair and
+            # never search — the decision costs neither setup nor
+            # execute anything on the default tree
+            dedup = None
+            if rot is None and tree.expansion_center == "box":
+                dedup = _dedup_rows(d)
             g = _FarGroup(
                 p=p, rows=rows, sP=self._Psrc[srcs], d=d, seg=seg,
                 utgt=utgt, bgeom=bgeom, levels=levels, cnt_t=cnt_t,
                 c64_ok=_m2l_c64_safe(p, float(r_u[lo:hi].min())),
-                rot=rot,
+                rot=rot, dedup=dedup,
             )
             unit.groups.append(g)
             mem += rows.nbytes + g.sP.nbytes + d.nbytes + seg.nbytes
             mem += utgt.nbytes
+            if dedup is not None:
+                mem += dedup[0].nbytes + dedup[1].nbytes
             if want_bounds:
                 mem += bgeom.nbytes + levels.nbytes + cnt_t.nbytes
 
@@ -890,7 +877,7 @@ class ClusterPlan(CompiledPlan):
                 if g.rot is not None:
                     Lp = self._rotated_m2l(C, g, dt)
                 else:
-                    Lp = _batched_m2l_chunked(C, g.d, g.p, dt)
+                    Lp = _batched_m2l_chunked(C, g.d, g.p, dt, g.dedup)
                 if pair_ctr is not None:
                     pair_ctr.labels(
                         backend="rotation" if g.rot is not None else "dense"

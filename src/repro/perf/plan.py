@@ -254,6 +254,12 @@ def _build_p2m_storage(tree, fn: np.ndarray, pdeg: np.ndarray):
     return Psrc, srow, groups, rowmap, mem
 
 
+def _distinct_degrees(sP: np.ndarray) -> np.ndarray:
+    """Sorted distinct storage degrees of a pair batch — ``np.unique``
+    without the sort (degrees are small non-negative integers)."""
+    return np.flatnonzero(np.bincount(sP))
+
+
 def _gather_coeffs(ctx, sP: np.ndarray, rows: np.ndarray, nc: int) -> np.ndarray:
     """Multipole coefficients for a pair batch, truncated to ``nc``
     entries, gathered from per-storage-degree coefficient tables.
@@ -261,7 +267,7 @@ def _gather_coeffs(ctx, sP: np.ndarray, rows: np.ndarray, nc: int) -> np.ndarray
     Coefficient tables are ``(nodes, nc)`` for a single charge vector or
     ``(nodes, k, nc)`` for a batch; the gather preserves the batch axis.
     """
-    uP = np.unique(sP)
+    uP = _distinct_degrees(sP)
     if uP.size == 1:
         return ctx[int(uP[0])][0][rows, ..., :nc]
     tbl = ctx[int(uP[0])][0]
@@ -275,7 +281,7 @@ def _gather_coeffs(ctx, sP: np.ndarray, rows: np.ndarray, nc: int) -> np.ndarray
 def _gather_abs(ctx, sP: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Absolute cluster charges for a pair batch (bounds accounting);
     ``(pairs,)`` single-vector or ``(pairs, k)`` batched."""
-    uP = np.unique(sP)
+    uP = _distinct_degrees(sP)
     if uP.size == 1:
         return ctx[int(uP[0])][1][rows]
     tbl = ctx[int(uP[0])][1]

@@ -160,6 +160,54 @@ def test_truncated_and_corrupt_fall_back(built, tmp_path):
         REGISTRY.reset()
 
 
+def test_previous_format_plan_recompiles(rng, tmp_path, monkeypatch):
+    """A cluster plan written in format 1 (far groups without their
+    compile-time displacement dedup) under the current key is refused as
+    a ``version`` miss and recompiled — never loaded and run without
+    its dedup decision."""
+    from repro.perf import store
+
+    pts = rng.random((1500, 3))
+    q = rng.uniform(-1, 1, 1500)
+    tc = Treecode(
+        pts, q, degree_policy=FixedDegree(4), alpha=0.5, expansion_center="box"
+    )
+    fresh = tc.compile_plan(mode="cluster", cache_dir="")
+    groups = [g for u in fresh._units for g in u.groups]
+    assert any(g.dedup is not None for g in groups)
+    ref = fresh.execute(q).potential
+
+    digest = _digest(tc, fresh, mode="cluster")
+    old = tc.compile_plan(mode="cluster", cache_dir="")
+    for u in old._units:
+        for g in u.groups:
+            del g.dedup  # the format-1 layout of _FarGroup
+    with monkeypatch.context() as m:
+        m.setattr(store, "STORE_FORMAT_VERSION", 1)
+        save_plan(old, tmp_path / f"{digest}.plan", digest=digest)
+    with pytest.raises(PlanStoreError) as exc:
+        load_plan(tmp_path / f"{digest}.plan", expected_digest=digest)
+    assert exc.value.reason == "version"
+
+    REGISTRY.reset()
+    tracing.enable()
+    try:
+        plan = tc.compile_plan(mode="cluster", cache_dir=str(tmp_path))
+        assert _miss_counts() == {"version": 1}
+        assert REGISTRY.counter("plan_compiles").value == 1
+        assert REGISTRY.counter("plan_cache_hits").value == 0
+        got = [g for u in plan._units for g in u.groups]
+        assert all("dedup" in vars(g) for g in got)
+        assert [g.dedup is None for g in got] == [g.dedup is None for g in groups]
+        assert np.array_equal(plan.execute(q).potential, ref)
+        # the recompile healed the cache: the next lookup is a hit
+        tc.compile_plan(mode="cluster", cache_dir=str(tmp_path))
+        assert REGISTRY.counter("plan_cache_hits").value == 1
+    finally:
+        tracing.set_enabled(False)
+        REGISTRY.reset()
+
+
 def test_stale_digest_and_version_mismatch(built, tmp_path, monkeypatch):
     pts, q, tc = built
     plan = tc.compile_plan(cache_dir="")
