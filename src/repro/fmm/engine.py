@@ -39,7 +39,7 @@ from ..multipole.translations import (
     axial_m2m,
     l2l,
     m2l,
-    m2l_operator,
+    m2l_operators,
     m2m,
 )
 from ..obs import journal
@@ -50,6 +50,20 @@ from ..robust.guards import check_finite
 from ..tree.morton import deinterleave3, interleave3
 
 __all__ = ["UniformFMM", "FMMStats", "level_degrees"]
+
+
+#: Cell offsets of the V-list (well separated: some |component| > 1)
+#: and of the near field, in the order every sweep applies them.
+_V_OFFSETS = [
+    (dx, dy, dz)
+    for dx in range(-3, 4)
+    for dy in range(-3, 4)
+    for dz in range(-3, 4)
+    if max(abs(dx), abs(dy), abs(dz)) > 1
+]
+_NEAR_OFFSETS = [
+    (dx, dy, dz) for dx in range(-1, 2) for dy in range(-1, 2) for dz in range(-1, 2)
+]
 
 
 @dataclass
@@ -98,12 +112,16 @@ class UniformFMM:
     tol_p_max:
         Degree cap of the ``tol``-derived schedule.
     use_plan:
-        Freeze the geometry into a plan (P2M rows, probed M2L operator
-        matrices per offset group, L2P rows, near pair lists) at the
-        *second* :meth:`evaluate`, so repeated evaluations over the same
-        grid — e.g. after :meth:`set_charges` — skip all geometry
-        recomputation.  The first evaluation always runs the direct
-        path, so one-shot uses pay nothing.
+        Freeze the geometry into a plan (P2M rows, M2L operator matrices
+        per offset group, L2P rows, near pair lists) at the first
+        :meth:`evaluate` and run it; every later evaluation over the
+        same grid — e.g. after :meth:`set_charges` — skips all geometry
+        recomputation.  The compile costs a fraction of one evaluation
+        (all of a level's M2L operators come from one batched gather,
+        :func:`~repro.multipole.translations.m2l_operators`), so
+        compile plus planned evaluation is cheaper than the unplanned
+        path even for a single call.  ``False`` runs the unplanned
+        reference path on every call.
     translation_backend:
         ``"dense"``, ``"rotation"`` or ``"auto"``: kernel family for the
         M2M/M2L/L2L sweeps.  The rotation pipeline
@@ -119,7 +137,7 @@ class UniformFMM:
     plan_cache:
         Persistent plan-cache directory (see :mod:`repro.perf.store`).
         ``None`` consults the ``REPRO_PLAN_CACHE`` environment
-        variable; ``""`` disables.  When the plan would compile (second
+        variable; ``""`` disables.  When the plan would compile (first
         :meth:`evaluate`), a warm cache restores the frozen geometry —
         P2M/L2P rows, M2L operator matrices, rotation operators, near
         pair lists — as a zero-copy ``mmap`` instead.
@@ -204,9 +222,8 @@ class UniformFMM:
             self.degrees = self.tolerance_degrees(self.tol, p_max=tol_p_max)
         self.stats = FMMStats()
         # frozen-geometry plan (P2M rows, M2L operator matrices, L2P
-        # rows, near pair lists) — built lazily at the second evaluate()
+        # rows, near pair lists) — built lazily at the first evaluate()
         self._plan = None
-        self._n_evals = 0
         self.plan_cache = plan_cache
         self.plan_memory_bytes = 0
         self.plan_compile_time = 0.0
@@ -376,8 +393,9 @@ class UniformFMM:
           its leaf center, so the leaf upward pass is one segmented GEMV.
         * **M2L operator matrices**: the translation is real-linear (not
           complex-linear — conjugate symmetry enters), so each
-          (level, offset) group's operator is probed once with the basis
-          ``[I; iI]`` into a pair of complex matrices ``(Tr, Ti)``;
+          (level, offset) group's operator is a pair of complex matrices
+          ``(Tr, Ti)``, all of a level's built by one
+          :func:`~repro.multipole.translations.m2l_operators` gather;
           applying it is ``M.real @ Tr + M.imag @ Ti``, two BLAS GEMMs.
         * **L2P rows** ``R``: per-particle ``w · Y rho^n`` at the leaf
           degree; the downward leaf pass is one row-wise contraction.
@@ -392,23 +410,13 @@ class UniformFMM:
         """
         if self._plan is not None:
             return self._plan
-        from ..perf.store import cached_plan, content_digest, resolve_cache_dir
+        from ..perf.store import cached_plan, resolve_cache_dir
 
         cache = resolve_cache_dir(self.plan_cache)
         if cache is None:
             self._plan = self._compile_plan()
             return self._plan
-        digest = content_digest(
-            {
-                "kind": "fmm",
-                "level": int(self.L),
-                "degrees": [int(p) for p in self.degrees],
-                "edge": float(self.edge),
-                "lo": [float(v) for v in self.lo],
-                "translation_backend": self.translation_backend,
-            },
-            [self.points],
-        )
+        digest = self._plan_digest()
         bundle = cached_plan(
             cache,
             digest,
@@ -428,6 +436,23 @@ class UniformFMM:
                 pass
         return self._plan
 
+    def _plan_digest(self) -> str:
+        """Plan-store key: the Morton-sorted points, the degree schedule
+        and the grid/backend configuration."""
+        from ..perf.store import content_digest
+
+        return content_digest(
+            {
+                "kind": "fmm",
+                "level": int(self.L),
+                "degrees": [int(p) for p in self.degrees],
+                "edge": float(self.edge),
+                "lo": [float(v) for v in self.lo],
+                "translation_backend": self.translation_backend,
+            },
+            [self.points],
+        )
+
     def _compile_plan(self) -> dict:
         with stopwatch("plan.compile", engine="fmm", level=self.L) as sw:
             L, degs = self.L, self.degrees
@@ -437,100 +462,42 @@ class UniformFMM:
             rel = self.points - centers_L[self.cell_of]
             rho, ct, ph = cart_to_sph(rel)
             ns, _ = degree_of_index(p_store)
-            G = power_table(rho, p_store)[:, ns] * np.conj(
-                sph_harmonics(ct, ph, p_store)
-            )
+            Y = sph_harmonics(ct, ph, p_store)
+            pw = power_table(rho, p_store)
+            G = pw[:, ns] * np.conj(Y)
+            # the leaf degree is at most p_store, and packed harmonics of
+            # a lower degree are a prefix of the higher-degree table
             pL = degs[L]
             nsL, _ = degree_of_index(pL)
-            R = (
-                sph_harmonics(ct, ph, pL)
-                * power_table(rho, pL)[:, nsL]
-                * m_weights(pL)
-            )
+            R = Y[:, : ncoef(pL)] * pw[:, nsL] * m_weights(pL)
             mem = G.nbytes + R.nbytes
 
             m2l_groups: dict[int, list] = {}
             for l in range(2, L + 1):
                 p = degs[l]
-                use_rot = self._use_rotation(p)
-                pos = self._coords(l)
-                ncell = 1 << l
-                h = self.edge / ncell
-                order = np.arange(8**l)
+                h = self.edge / (1 << l)
+                vlist = list(self._v_list(l))
+                mem += sum(tgt.nbytes + src.nbytes for _, tgt, src in vlist)
+                D = h * np.array([off for off, _, _ in vlist], dtype=np.float64)
                 groups = []
-                for dx in range(-3, 4):
-                    for dy in range(-3, 4):
-                        for dz in range(-3, 4):
-                            if max(abs(dx), abs(dy), abs(dz)) <= 1:
-                                continue
-                            src_x = pos[:, 0] + dx
-                            src_y = pos[:, 1] + dy
-                            src_z = pos[:, 2] + dz
-                            valid = (
-                                (src_x >= 0) & (src_x < ncell)
-                                & (src_y >= 0) & (src_y < ncell)
-                                & (src_z >= 0) & (src_z < ncell)
-                            )
-                            if l > 2:
-                                valid &= (
-                                    (np.abs((src_x >> 1) - (pos[:, 0] >> 1)) <= 1)
-                                    & (np.abs((src_y >> 1) - (pos[:, 1] >> 1)) <= 1)
-                                    & (np.abs((src_z >> 1) - (pos[:, 2] >> 1)) <= 1)
-                                )
-                            tgt = order[valid]
-                            if tgt.size == 0:
-                                continue
-                            src = interleave3(
-                                src_x[valid].astype(np.uint64),
-                                src_y[valid].astype(np.uint64),
-                                src_z[valid].astype(np.uint64),
-                            ).astype(np.int64)
-                            d = np.array([[dx * h, dy * h, dz * h]])
-                            if use_rot:
-                                # offsets scale with h, so their unit
-                                # directions repeat at every level — the
-                                # cache holds <= 316 operators total
-                                kid, rho = self._rot_id(d[0], p)
-                                groups.append(("rot", tgt, src, kid, rho))
-                                mem += tgt.nbytes + src.nbytes
-                            else:
-                                Tr, Ti = m2l_operator(d, p, p)
-                                groups.append(("dense", tgt, src, Tr, Ti))
-                                mem += (
-                                    tgt.nbytes + src.nbytes
-                                    + Tr.nbytes + Ti.nbytes
-                                )
+                if self._use_rotation(p):
+                    # offsets scale with h, so their unit directions
+                    # repeat at every level — the cache holds <= 316
+                    # operators total
+                    for d, (_, tgt, src) in zip(D, vlist):
+                        kid, rho = self._rot_id(d, p)
+                        groups.append(("rot", tgt, src, kid, rho))
+                else:
+                    # every offset of the level in one batched build
+                    Tr, Ti = m2l_operators(D, p, p)
+                    mem += Tr.nbytes + Ti.nbytes
+                    for b, (_, tgt, src) in enumerate(vlist):
+                        groups.append(("dense", tgt, src, Tr[b], Ti[b]))
                 m2l_groups[l] = groups
             mem += self._rot_cache.nbytes
 
-            near_pairs = []
-            coordsL = self._coords(L)
-            ncell = 1 << L
-            for dx in range(-1, 2):
-                for dy in range(-1, 2):
-                    for dz in range(-1, 2):
-                        tgt_pos = coordsL[occupied]
-                        sx = tgt_pos[:, 0] + dx
-                        sy = tgt_pos[:, 1] + dy
-                        sz = tgt_pos[:, 2] + dz
-                        valid = (
-                            (sx >= 0) & (sx < ncell)
-                            & (sy >= 0) & (sy < ncell)
-                            & (sz >= 0) & (sz < ncell)
-                        )
-                        tcells = occupied[valid]
-                        if tcells.size == 0:
-                            continue
-                        scells = interleave3(
-                            sx[valid].astype(np.uint64),
-                            sy[valid].astype(np.uint64),
-                            sz[valid].astype(np.uint64),
-                        ).astype(np.int64)
-                        nonempty = self.cell_end[scells] > self.cell_start[scells]
-                        tcells, scells = tcells[nonempty], scells[nonempty]
-                        if tcells.size:
-                            near_pairs.append((tcells, scells))
-                            mem += tcells.nbytes + scells.nbytes
+            near_pairs = list(self._near_lists(occupied))
+            mem += sum(tc.nbytes + sc.nbytes for tc, sc in near_pairs)
             self._plan = {
                 "G": G,
                 "R": R,
@@ -573,7 +540,7 @@ class UniformFMM:
         kdim = self.charges.shape[1:]  # () for a vector, (k,) for a batch
         obs_on = is_enabled()
         plan = None
-        if self.use_plan and (self._plan is not None or self._n_evals >= 1):
+        if self.use_plan:
             plan = self._ensure_plan()
         outer = span("fmm.evaluate", n=int(self.points.shape[0]), level=L).__enter__()
         m2l_before = self.stats.n_m2l
@@ -710,17 +677,7 @@ class UniformFMM:
                 phi += np.einsum(
                     "tc,tkc->tk", plan["R"].real, Lgather.real
                 ) - np.einsum("tc,tkc->tk", plan["R"].imag, Lgather.imag)
-            for tcells, scells in plan["near"]:
-                for tc, sc in zip(tcells, scells):
-                    ts, te = self.cell_start[tc], self.cell_end[tc]
-                    ss, se = self.cell_start[sc], self.cell_end[sc]
-                    d = self.points[ts:te, None, :] - self.points[None, ss:se, :]
-                    r2 = np.einsum("tsi,tsi->ts", d, d)
-                    with np.errstate(divide="ignore"):
-                        inv = 1.0 / np.sqrt(r2)
-                    inv[r2 == 0.0] = 0.0
-                    phi[ts:te] += inv @ self.charges[ss:se]
-                    self.stats.n_pp_pairs += (te - ts) * (se - ss)
+            self._near_apply(phi, plan["near"])
         else:
             for c in occupied:
                 s, e = self.cell_start[c], self.cell_end[c]
@@ -733,10 +690,58 @@ class UniformFMM:
                         [l2p(Lc[j], rel, pL) for j in range(Lc.shape[0])],
                         axis=1,
                     )
-            self._near_direct(phi, occupied)
+            self._near_apply(phi, self._near_lists(occupied))
         sw.__exit__(None, None, None)
         self.stats.times["near"] = sw.elapsed
         return self._finish(phi, obs_on, outer, m2l_before, terms_before, pp_before)
+
+    def _cell_ids(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+        """Integer coordinates of the level-``l`` cells in Morton order,
+        ``(8^l, 3)``, and the inverse table ``ids[x, y, z]`` of Morton
+        ids."""
+        pos = self._coords(l)
+        ncell = 1 << l
+        ids = np.empty((ncell, ncell, ncell), dtype=np.int64)
+        ids[pos[:, 0], pos[:, 1], pos[:, 2]] = np.arange(8**l)
+        return pos, ids
+
+    def _v_list(self, l: int):
+        """V-list of level ``l`` grouped by cell offset.
+
+        Yields ``(offset, tgt, src)`` for every non-empty offset group
+        in a fixed order: ``offset`` the integer ``(dx, dy, dz)``, and
+        ``tgt``/``src`` the Morton ids of the target cells and of their
+        sources — well-separated at this level and, for ``l > 2``,
+        children of the parent's neighbourhood (the classic V-list
+        condition).
+        """
+        pos, ids = self._cell_ids(l)
+        ncell = 1 << l
+        for off in _V_OFFSETS:
+            s = pos + off
+            valid = ((s >= 0) & (s < ncell)).all(axis=1)
+            if l > 2:
+                valid &= (np.abs((s >> 1) - (pos >> 1)) <= 1).all(axis=1)
+            tgt = np.flatnonzero(valid)
+            if tgt.size:
+                s = s[tgt]
+                yield off, tgt, ids[s[:, 0], s[:, 1], s[:, 2]]
+
+    def _near_lists(self, occupied: np.ndarray):
+        """Near-field cell pairs per neighbour offset: yields
+        ``(tcells, scells)`` over the occupied target cells and their
+        non-empty neighbours (self included), in a fixed order."""
+        pos, ids = self._cell_ids(self.L)
+        ncell = 1 << self.L
+        pos = pos[occupied]
+        for off in _NEAR_OFFSETS:
+            s = pos + off
+            valid = np.flatnonzero(((s >= 0) & (s < ncell)).all(axis=1))
+            s = s[valid]
+            scells = ids[s[:, 0], s[:, 1], s[:, 2]]
+            nonempty = self.cell_end[scells] > self.cell_start[scells]
+            if nonempty.any():
+                yield occupied[valid][nonempty], scells[nonempty]
 
     def _m2l_direct(self, M, Llocal, sw) -> None:
         """Direct (un-planned) M2L sweep, one batched translation per
@@ -745,102 +750,41 @@ class UniformFMM:
         for l in range(2, L + 1):
             p = degs[l]
             use_rot = self._use_rotation(p)
-            coords = self._coords(l)
-            ncell = 1 << l
-            h = self.edge / ncell
-            order = np.arange(8**l)
-            pos = coords  # integer coords per linear id
-            for dx in range(-3, 4):
-                for dy in range(-3, 4):
-                    for dz in range(-3, 4):
-                        if max(abs(dx), abs(dy), abs(dz)) <= 1:
-                            continue
-                        # well-separated at this level; for l > 2 the
-                        # sources must also be children of the parent's
-                        # neighborhood (the classic V-list condition)
-                        src_x = pos[:, 0] + dx
-                        src_y = pos[:, 1] + dy
-                        src_z = pos[:, 2] + dz
-                        valid = (
-                            (src_x >= 0) & (src_x < ncell)
-                            & (src_y >= 0) & (src_y < ncell)
-                            & (src_z >= 0) & (src_z < ncell)
-                        )
-                        if l > 2:
-                            valid &= (
-                                (np.abs((src_x >> 1) - (pos[:, 0] >> 1)) <= 1)
-                                & (np.abs((src_y >> 1) - (pos[:, 1] >> 1)) <= 1)
-                                & (np.abs((src_z >> 1) - (pos[:, 2] >> 1)) <= 1)
-                            )
-                        tgt = order[valid]
-                        if tgt.size == 0:
-                            continue
-                        src = interleave3(
-                            src_x[valid].astype(np.uint64),
-                            src_y[valid].astype(np.uint64),
-                            src_z[valid].astype(np.uint64),
-                        ).astype(np.int64)
-                        d = np.array([[dx * h, dy * h, dz * h]])
-                        X = M[l][src][..., : ncoef(p)]
-                        if use_rot:
-                            kid, rho = self._rot_id(d[0], p)
-                            Llocal[l][tgt] += self._kfold(
-                                X,
-                                lambda C: self._apply_rotated(
-                                    C, kid, rho, p, axial_m2l
-                                ),
-                            )
-                        else:
-                            Llocal[l][tgt] += self._kfold(
-                                X, lambda C: m2l(C, d, p, p)
-                            )
-                        self.stats.n_m2l += tgt.size
-                        self.stats.n_terms_m2l += tgt.size * term_count(p)
+            h = self.edge / (1 << l)
+            for off, tgt, src in self._v_list(l):
+                d = h * np.array([off], dtype=np.float64)
+                X = M[l][src][..., : ncoef(p)]
+                if use_rot:
+                    kid, rho = self._rot_id(d[0], p)
+                    Llocal[l][tgt] += self._kfold(
+                        X,
+                        lambda C: self._apply_rotated(C, kid, rho, p, axial_m2l),
+                    )
+                else:
+                    Llocal[l][tgt] += self._kfold(X, lambda C: m2l(C, d, p, p))
+                self.stats.n_m2l += tgt.size
+                self.stats.n_terms_m2l += tgt.size * term_count(p)
         sw.__exit__(None, None, None)
         self.stats.times["m2l"] = sw.elapsed
 
-    def _near_direct(self, phi: np.ndarray, occupied: np.ndarray) -> None:
-        """Direct (un-planned) near-field sweep over neighbor offsets."""
-        L = self.L
-        coordsL = self._coords(L)
-        ncell = 1 << L
-        for dx in range(-1, 2):
-            for dy in range(-1, 2):
-                for dz in range(-1, 2):
-                    tgt_pos = coordsL[occupied]
-                    sx = tgt_pos[:, 0] + dx
-                    sy = tgt_pos[:, 1] + dy
-                    sz = tgt_pos[:, 2] + dz
-                    valid = (
-                        (sx >= 0) & (sx < ncell)
-                        & (sy >= 0) & (sy < ncell)
-                        & (sz >= 0) & (sz < ncell)
-                    )
-                    tcells = occupied[valid]
-                    if tcells.size == 0:
-                        continue
-                    scells = interleave3(
-                        sx[valid].astype(np.uint64),
-                        sy[valid].astype(np.uint64),
-                        sz[valid].astype(np.uint64),
-                    ).astype(np.int64)
-                    nonempty = self.cell_end[scells] > self.cell_start[scells]
-                    tcells, scells = tcells[nonempty], scells[nonempty]
-                    for tc, sc in zip(tcells, scells):
-                        ts, te = self.cell_start[tc], self.cell_end[tc]
-                        ss, se = self.cell_start[sc], self.cell_end[sc]
-                        d = self.points[ts:te, None, :] - self.points[None, ss:se, :]
-                        r2 = np.einsum("tsi,tsi->ts", d, d)
-                        with np.errstate(divide="ignore"):
-                            inv = 1.0 / np.sqrt(r2)
-                        inv[r2 == 0.0] = 0.0
-                        phi[ts:te] += inv @ self.charges[ss:se]
-                        self.stats.n_pp_pairs += (te - ts) * (se - ss)
+    def _near_apply(self, phi: np.ndarray, pairs) -> None:
+        """Direct near-field sum over ``(tcells, scells)`` pair groups,
+        self-interaction excluded."""
+        for tcells, scells in pairs:
+            for tc, sc in zip(tcells, scells):
+                ts, te = self.cell_start[tc], self.cell_end[tc]
+                ss, se = self.cell_start[sc], self.cell_end[sc]
+                d = self.points[ts:te, None, :] - self.points[None, ss:se, :]
+                r2 = np.einsum("tsi,tsi->ts", d, d)
+                with np.errstate(divide="ignore"):
+                    inv = 1.0 / np.sqrt(r2)
+                inv[r2 == 0.0] = 0.0
+                phi[ts:te] += inv @ self.charges[ss:se]
+                self.stats.n_pp_pairs += (te - ts) * (se - ss)
 
     def _finish(self, phi, obs_on, outer, m2l_before, terms_before, pp_before):
         """Metrics, un-sorting and output guards shared by both paths."""
         n = phi.shape[0]
-        self._n_evals += 1
         if obs_on:
             REGISTRY.counter("fmm_m2l_ops", "M2L translations applied").inc(
                 self.stats.n_m2l - m2l_before

@@ -48,6 +48,7 @@ __all__ = [
     "m2l_geometry",
     "m2l_from_geometry",
     "m2l_operator",
+    "m2l_operators",
     "singular_grid",
     "l2l",
     "axial_m2m",
@@ -393,26 +394,79 @@ def m2l(coeffs: np.ndarray, d: np.ndarray, p_src: int, p_loc: int | None = None)
     return m2l_from_geometry(coeffs, shat, p_src, p_loc)
 
 
-def m2l_operator(d: np.ndarray, p_src: int, p_loc: int | None = None):
-    """Probe the (real-linear) M2L operator for one displacement.
+def _m2l_gather_tables(p_src: int, p_loc: int):
+    """Index tables and weights of :func:`m2l_operators`.
+
+    For packed input ``(n, m)`` (row) and packed output ``(j, k)``
+    (column): flat indices into a batch-first ``shat`` of
+    ``[n+j, m-k]`` and ``[n+j, -m-k]``, and the weight
+    ``f(n,m) g(j,k)`` with ``f = (-1)^n i^{-m} / sq(n,m)`` and
+    ``g = i^{-k} / sq(j,k)``; the second weight is zero on ``m = 0``
+    rows (there is no separate ``-m`` coefficient).
+    """
+
+    def build():
+        ptot = p_src + p_loc
+        width = 2 * ptot + 1
+        n, m = degree_of_index(p_src)
+        j, k = degree_of_index(p_loc)
+        f = (-1.0) ** n * (1j) ** (-m % 4) / _sq_grid(p_src)[n, p_src + m]
+        g = (1j) ** (-k % 4) / _sq_grid(p_loc)[j, p_loc + k]
+        n, m = n[:, None], m[:, None]
+        row = (n + j) * width + ptot
+        fg = f[:, None] * g
+        return row + (m - k), row + (-m - k), fg, np.where(m > 0, fg, 0.0)
+
+    return _cached(("m2l_gather", p_src, p_loc), build)
+
+
+def m2l_operators(d: np.ndarray, p_src: int, p_loc: int | None = None):
+    """Real-linear M2L operators for a batch of displacements.
 
     M2L is real-linear but not complex-linear (conjugate symmetry of the
     packed layout enters), so the operator for a fixed displacement is
-    the matrix pair ``(Tr, Ti)`` obtained by probing with ``[I; iI]``;
-    applying it to a batch of coefficient rows ``M`` is
-    ``M.real @ Tr + M.imag @ Ti`` — two GEMMs.  This is the shared
-    batching primitive of the uniform-FMM plan and the compiled-plan
-    tests.
+    a matrix pair ``(Tr, Ti)``; applying it to coefficient rows ``M`` is
+    ``M.real @ Tr + M.imag @ Ti`` — two GEMMs.  Returns ``Tr, Ti`` of
+    shape ``(B, ncoef(p_src), ncoef(p_loc))`` for the ``(B, 3)`` rows of
+    ``d``.
+
+    The operators are gathered in closed form from one
+    :func:`singular_grid` call.  Splitting the sum of :func:`m2l` over
+    ``m`` and ``-m`` (``M_n^{-m} = conj(M_n^m)``) gives, per input
+    ``(n, m >= 0)`` and output ``(j, k >= 0)``,
+    ``A = f g shat[n+j, m-k]``, ``B = f g shat[n+j, -m-k]`` (zero for
+    ``m = 0``), ``Tr = A + B`` and ``Ti = i (A - B)``.  The gather reads
+    a batch-first contiguous copy of ``shat``, so every ``Tr[b]`` and
+    ``Ti[b]`` is C-contiguous, and each row's operator is bitwise
+    independent of the batch it is built in.
     """
     if p_loc is None:
         p_loc = p_src
-    eye = np.eye(ncoef(p_src), dtype=np.complex128)
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
-    shat = m2l_geometry(d, p_src, p_loc)
-    shat_b = np.broadcast_to(shat, (eye.shape[0],) + shat.shape[1:])
-    Tr = m2l_from_geometry(eye, shat_b, p_src, p_loc)
-    Ti = m2l_from_geometry(1j * eye, shat_b, p_src, p_loc)
+    ia, ib, fg, fg_b = _m2l_gather_tables(p_src, p_loc)
+    shat = singular_grid(d, p_src + p_loc)
+    flat = np.ascontiguousarray(shat.reshape(-1, d.shape[0]).T)
+    # np.take writes its output in C order (fancy indexing on axis 1
+    # would put the batch axis innermost)
+    Tr = np.take(flat, ia, axis=1)
+    Tr *= fg
+    Ti = np.take(flat, ib, axis=1)
+    Ti *= fg_b
+    # Tr = A + B, Ti = i (A - B), in place per operator so the only
+    # scratch is one operator
+    for a, b in zip(Tr, Ti):
+        diff = a - b
+        a += b
+        np.multiply(diff, 1j, out=b)
     return Tr, Ti
+
+
+def m2l_operator(d: np.ndarray, p_src: int, p_loc: int | None = None):
+    """The M2L operator pair ``(Tr, Ti)`` for one displacement ``d``:
+    the single-row case of :func:`m2l_operators`, shape
+    ``(ncoef(p_src), ncoef(p_loc))`` each."""
+    Tr, Ti = m2l_operators(np.reshape(d, (1, 3)), p_src, p_loc)
+    return Tr[0], Ti[0]
 
 
 def l2l(coeffs: np.ndarray, shifts: np.ndarray, p: int) -> np.ndarray:

@@ -76,8 +76,9 @@ ENV_PLAN_CACHE = "REPRO_PLAN_CACHE"
 
 #: On-disk container version; bumped on any incompatible layout change
 #: (2: cluster-plan far groups carry their compile-time displacement
-#: dedup).
-STORE_FORMAT_VERSION = 2
+#: dedup; 3: FMM M2L operators are gathered in closed form, not probed,
+#: so a format-2 FMM plan differs from a fresh compile in the last bits).
+STORE_FORMAT_VERSION = 3
 
 _MAGIC = b"REPROPLN"
 _ALIGN = 64

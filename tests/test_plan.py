@@ -9,6 +9,7 @@ from repro import AdaptiveChargeDegree, FixedDegree, Treecode
 from repro.bem import OperatorGeometry, SingleLayerOperator
 from repro.bem.geometries import icosphere
 from repro.fmm import UniformFMM
+from repro.obs import REGISTRY, tracing
 from repro.parallel import evaluate_plan_parallel
 from repro.perf import scatter_add
 from repro.perf.plan import CompiledPlan
@@ -241,13 +242,39 @@ class TestFmmPlan:
     def test_repeat_evaluate_matches(self, rng):
         pts = rng.random((700, 3))
         q = rng.uniform(-1.0, 1.0, 700)
+        unplanned = UniformFMM(pts, q, level=2, degrees=5, use_plan=False)
+        reference = unplanned.evaluate()
         fmm = UniformFMM(pts, q, level=2, degrees=5)
-        first = fmm.evaluate()  # un-planned
-        second = fmm.evaluate()  # compiles and runs the plan
-        assert fmm._plan is not None
-        np.testing.assert_allclose(second, first, rtol=0, atol=1e-11)
+        first = fmm.evaluate()  # compiles and runs the plan
+        second = fmm.evaluate()  # reuses it
+        assert fmm._plan is not None and unplanned._plan is None
+        np.testing.assert_allclose(first, reference, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(second, reference, rtol=0, atol=1e-11)
+        assert np.array_equal(first, second)
         assert set(fmm.stats.times) == {"upward", "m2l", "l2l", "near"}
+        assert set(unplanned.stats.times) == {"upward", "m2l", "l2l", "near"}
         assert fmm.plan_compile_time > 0.0
+
+    def test_compiles_once_at_first_evaluate(self, rng):
+        pts = rng.random((500, 3))
+        q = rng.uniform(-1.0, 1.0, 500)
+        REGISTRY.reset()
+        tracing.enable()
+        try:
+            fmm = UniformFMM(pts, q, level=2, degrees=4, plan_cache="")
+            compiles = REGISTRY.counter("plan_compiles")
+            assert compiles.value == 0
+            fmm.evaluate()
+            assert compiles.value == 1
+            assert fmm.plan_compile_time > 0.0
+            fmm.evaluate()
+            assert compiles.value == 1
+            fmm.set_charges(rng.uniform(-1.0, 1.0, 500))
+            fmm.evaluate()
+            assert compiles.value == 1
+        finally:
+            tracing.set_enabled(False)
+            REGISTRY.reset()
 
     def test_set_charges_matches_fresh(self, rng):
         pts = rng.random((700, 3))

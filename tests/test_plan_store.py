@@ -273,14 +273,68 @@ def test_fmm_plan_cache_roundtrip(rng, tmp_path):
     pts = rng.random((800, 3))
     q = rng.uniform(-1, 1, 800)
     f1 = UniformFMM(pts, q, level=2, degrees=4, plan_cache=str(tmp_path))
-    f1.evaluate()
-    a = f1.evaluate()  # compiles + stores
+    f1.evaluate()  # compiles + stores
+    a = f1.evaluate()
     assert len(list(tmp_path.glob("*.plan"))) == 1
     f2 = UniformFMM(pts, q, level=2, degrees=4, plan_cache=str(tmp_path))
-    f2.evaluate()
-    b = f2.evaluate()  # warm load
+    f2.evaluate()  # warm load
+    b = f2.evaluate()
     assert len(list(tmp_path.glob("*.plan"))) == 1
     assert np.array_equal(a, b)
+
+
+def test_previous_format_fmm_plan_recompiles(rng, tmp_path, monkeypatch):
+    """An FMM plan written in format 2 — dense M2L operators probed one
+    offset at a time, equal to the gathered ones only to rounding —
+    under the current key is refused as a ``version`` miss and
+    recompiled, so a warm start stays bitwise equal to a fresh compile."""
+    from test_m2l_operators import probe_m2l_operators
+
+    from repro.fmm.engine import UniformFMM
+    from repro.perf import store
+
+    pts = rng.random((800, 3))
+    q = rng.uniform(-1, 1, 800)
+    ref = UniformFMM(pts, q, level=2, degrees=4, plan_cache="").evaluate()
+
+    old = UniformFMM(pts, q, level=2, degrees=4, plan_cache="")
+    plan = old._ensure_plan()
+    h = old.edge / 4
+    off = np.array([o for o, _, _ in old._v_list(2)], dtype=np.float64)
+    Pr, Pi = probe_m2l_operators(h * off, 4, 4)
+    groups = plan["m2l"][2]
+    assert len(groups) == len(off)
+    assert any(not np.array_equal(g[3], r) for g, r in zip(groups, Pr))
+    plan["m2l"][2] = [
+        ("dense", tgt, src, r, i) for (_, tgt, src, _, _), r, i in zip(groups, Pr, Pi)
+    ]
+    digest = old._plan_digest()
+    with monkeypatch.context() as m:
+        m.setattr(store, "STORE_FORMAT_VERSION", 2)
+        save_plan(
+            {"plan": plan, "rot": old._rot_cache}, tmp_path / f"{digest}.plan",
+            digest=digest,
+        )
+    with pytest.raises(PlanStoreError) as exc:
+        load_plan(tmp_path / f"{digest}.plan", expected_digest=digest)
+    assert exc.value.reason == "version"
+
+    REGISTRY.reset()
+    tracing.enable()
+    try:
+        got = UniformFMM(pts, q, level=2, degrees=4, plan_cache=str(tmp_path))
+        assert np.array_equal(got.evaluate(), ref)
+        assert _miss_counts() == {"version": 1}
+        assert REGISTRY.counter("plan_compiles").value == 1
+        assert REGISTRY.counter("plan_cache_hits").value == 0
+        # the recompile healed the cache: the next lookup is a hit
+        warm = UniformFMM(pts, q, level=2, degrees=4, plan_cache=str(tmp_path))
+        assert np.array_equal(warm.evaluate(), ref)
+        assert REGISTRY.counter("plan_cache_hits").value == 1
+        assert REGISTRY.counter("plan_compiles").value == 1
+    finally:
+        tracing.set_enabled(False)
+        REGISTRY.reset()
 
 
 def test_bem_plan_cache_roundtrip(rng, tmp_path):

@@ -489,11 +489,16 @@ class TestFMMRotationBackend:
 
         pts = rng.random((600, 3))
         q = rng.uniform(-1.0, 1.0, 600)
+        d1, r1 = (
+            UniformFMM(
+                pts, q, level=2, degrees=6, translation_backend=b, use_plan=False
+            ).evaluate()
+            for b in ("dense", "rotation")
+        )  # direct path
         fd = UniformFMM(pts, q, level=2, degrees=6, translation_backend="dense")
         fr = UniformFMM(
             pts, q, level=2, degrees=6, translation_backend="rotation"
         )
-        d1, r1 = fd.evaluate(), fr.evaluate()  # direct path
         d2, r2 = fd.evaluate(), fr.evaluate()  # planned path
         scale = np.abs(d1).max()
         assert np.abs(d1 - r1).max() <= 1e-12 * scale
